@@ -167,8 +167,9 @@ func publishSpillStats(reg *metrics.Registry, s spill.Snapshot) {
 }
 
 // startStream builds the live-ingestion processor, resuming from the
-// checkpoint file when one exists (both the v2 single-engine and v3 sharded
-// formats restore into either topology). A non-nil runner hosts the shards
+// checkpoint file when one exists. Both topologies write v3 images, and an
+// image written under any shard count — or a legacy v2 image — restores
+// into either topology, sharded or not. A non-nil runner hosts the shards
 // through it — the evshardd worker-process path — instead of in-process
 // goroutines.
 func startStream(cfg stream.Config, shards int, runner stream.ShardRunner, ckptPath string) (stream.Processor, error) {

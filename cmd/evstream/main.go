@@ -17,8 +17,9 @@
 // With -shards N > 0 the replay runs through the sharded router: N
 // concurrent per-cell-range windowers behind a cell-partitioning router,
 // producing the same resolutions and the same final fingerprint as the
-// unsharded engine (checkpoints are then written in the sharded v3 format;
-// both v2 and v3 images restore into any shard count).
+// unsharded engine. Both write the v3 checkpoint format (the unsharded
+// engine as one shard), and a checkpoint written under any shard count —
+// or a legacy v2 image — resumes under any other, unsharded included.
 //
 // With -shard-workers N > 0 the N shards run in separate evshardd worker
 // processes over net/rpc (DESIGN.md §15) instead of in-process goroutines:
@@ -146,7 +147,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// With -shard-workers the shards run in supervised evshardd processes:
-	// same router and checkpoint formats, different shard hosting. The
+	// same router and checkpoint format, different shard hosting. The
 	// supervisor closes after the router (defers run LIFO), so in-flight
 	// worker calls see the router's stop channels first.
 	nshards := *shards
@@ -169,9 +170,9 @@ func run(args []string, out io.Writer) error {
 		defer sup.Close()
 	}
 
-	// Resume from the checkpoint when one exists; otherwise start fresh. With
-	// shards the processor is the sharded router, which restores both v2
-	// single-engine and v3 sharded images, redistributing buckets by cell.
+	// Resume from the checkpoint when one exists; otherwise start fresh.
+	// Either processor restores an image written under any shard count,
+	// redistributing the open buckets over its own topology.
 	rcfg := stream.RouterConfig{Config: cfg, Shards: nshards}
 	if sup != nil {
 		rcfg.Runner = sup

@@ -169,18 +169,20 @@ func TestRunShardedReplayMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestRunShardedCrashResume is the sharded crash drill, covering both
-// checkpoint-format transitions: a 3-shard run leaves a v3 image that a
-// 2-shard run resumes (resharding restore), and an unsharded run leaves a v2
-// image that a 2-shard run upgrades — both finishing at the batch hash.
+// TestRunShardedCrashResume is the sharded crash drill across topologies:
+// every run writes v3, and an image written under one shard count resumes
+// under another — 3 shards into 2 (resharding restore), unsharded into 2
+// shards (a 1→2 reshard), and 3 shards into the unsharded engine — each
+// finishing at the batch hash.
 func TestRunShardedCrashResume(t *testing.T) {
 	dir := t.TempDir()
 	ds, logPath := writeTestLog(t, dir)
 	flag, targets := targetsFlag(ds, 12)
 	want := batchHash(t, ds, targets, 7)
-	for _, tc := range []struct{ name, firstShards string }{
-		{"v3-reshard", "3"},
-		{"v2-upgrade", "0"},
+	for _, tc := range []struct{ name, firstShards, secondShards string }{
+		{"v3-reshard", "3", "2"},
+		{"1-to-2-reshard", "0", "2"},
+		{"3-to-unsharded", "3", "0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ckpt := filepath.Join(dir, tc.name+".ckpt")
@@ -195,7 +197,7 @@ func TestRunShardedCrashResume(t *testing.T) {
 			}
 			var second bytes.Buffer
 			err = run([]string{
-				"-log", logPath, "-targets", flag, "-seed", "7", "-shards", "2",
+				"-log", logPath, "-targets", flag, "-seed", "7", "-shards", tc.secondShards,
 				"-checkpoint", ckpt, "-checkpoint-every", "500",
 			}, &second)
 			if err != nil {

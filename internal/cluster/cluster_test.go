@@ -397,6 +397,50 @@ func TestDroppedAndDuplicatedReports(t *testing.T) {
 	}
 }
 
+// TestFailureReportAfterCompletionIsStale drives the coordinator directly: a
+// straggler reporting an execution failure for a task that already
+// completed — here after the whole job finished and closed its done channel
+// — is a stale report. It must neither fail the finished job nor close done
+// a second time (which panicked the coordinator).
+func TestFailureReportAfterCompletionIsStale(t *testing.T) {
+	c, err := NewCoordinator(CoordinatorConfig{Dir: t.TempDir(), TaskTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := &activeJob{
+		id:          "1",
+		spec:        JobSpec{Name: "stale", MapName: "m", ReduceName: "r", NumMapTasks: 1, NumReducers: 1},
+		submitted:   time.Now(),
+		mapTasks:    newTasks(1),
+		reduceTasks: newTasks(1),
+		mapsLeft:    1,
+		reducesLeft: 1,
+		counters:    mapreduce.NewCounters(),
+		done:        make(chan struct{}),
+	}
+	c.job = job
+	rpc := &coordinatorRPC{c: c}
+	for _, kind := range []TaskKind{TaskMap, TaskReduce} {
+		if err := rpc.ReportTask(&TaskReport{WorkerID: "w0", JobID: "1", Kind: kind}, &TaskAck{}); err != nil {
+			t.Fatalf("report %v: %v", kind, err)
+		}
+	}
+	select {
+	case <-job.done:
+	default:
+		t.Fatal("job not done after every task completed")
+	}
+	if err := rpc.ReportTask(&TaskReport{WorkerID: "w1", JobID: "1", Kind: TaskMap, Err: "straggler failed"}, &TaskAck{}); err != nil {
+		t.Fatalf("late failure report: %v", err)
+	}
+	if job.failed != nil {
+		t.Fatalf("late failure report failed a finished job: %v", job.failed)
+	}
+	if st := c.Stats(); st.StaleReports != 1 {
+		t.Fatalf("StaleReports = %d, want 1", st.StaleReports)
+	}
+}
+
 func TestPoolCollapseFailsWithErrNoWorkers(t *testing.T) {
 	// No workers ever connect; collapse detection must fail the job rather
 	// than hang.

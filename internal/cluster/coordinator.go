@@ -603,6 +603,14 @@ func (r *coordinatorRPC) ReportTask(args *TaskReport, reply *TaskAck) error {
 		c.stats.staleReports.Add(1)
 		return fmt.Errorf("cluster: report for unknown task %d", args.TaskID)
 	}
+	t := &tasks[args.TaskID]
+	if t.state == taskCompleted {
+		// The first completion wins: a later report for the task — a
+		// duplicate, or a straggler that failed after the job finished and
+		// its files were cleaned up — is stale.
+		c.stats.staleReports.Add(1)
+		return nil
+	}
 	if args.Err != "" {
 		// Execution failure (not a crash): fail the whole job; losing a
 		// worker is recoverable, a deterministic function error is not.
@@ -610,11 +618,6 @@ func (r *coordinatorRPC) ReportTask(args *TaskReport, reply *TaskAck) error {
 			job.failed = fmt.Errorf("%w: %s", ErrTaskFailed, args.Err)
 			close(job.done)
 		}
-		return nil
-	}
-	t := &tasks[args.TaskID]
-	if t.state == taskCompleted {
-		c.stats.staleReports.Add(1)
 		return nil
 	}
 	if t.state == taskInProgress && t.specWorker != "" &&

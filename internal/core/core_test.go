@@ -11,6 +11,7 @@ import (
 	"evmatching/internal/elocal"
 	"evmatching/internal/ids"
 	"evmatching/internal/mapreduce"
+	"evmatching/internal/scenario"
 	"evmatching/internal/vfilter"
 )
 
@@ -580,5 +581,33 @@ func TestSerialParallelStatsAgreement(t *testing.T) {
 		if repP.Fingerprint() != first.Fingerprint() {
 			t.Errorf("BatchSize=%d: fingerprint diverged from first parallel run", batch)
 		}
+	}
+}
+
+// TestMatchBuildsNoBlockingIndex pins where the blocking index is built: New
+// builds it, so the first Match on a fresh matcher reuses that index instead
+// of paying for a build inside its E-stage timer — the mis-attribution that
+// once made the Fig. 8 E ≤ V sweep flaky. Only a grown store rebuilds it.
+func TestMatchBuildsNoBlockingIndex(t *testing.T) {
+	ds := testDataset(t, nil)
+	m := newMatcher(t, ds, Options{})
+	built := m.blockIdx
+	if built == nil {
+		t.Fatal("New built no blocking index")
+	}
+	if _, err := m.Match(context.Background(), ds.AllEIDs()[:10]); err != nil {
+		t.Fatalf("Match: %v", err)
+	}
+	if m.blockIdx != built {
+		t.Fatal("first Match rebuilt the blocking index New built")
+	}
+	if _, err := ds.Store.Add(&scenario.EScenario{Cell: 0, Window: ds.Config.NumWindows}, nil); err != nil {
+		t.Fatalf("Store.Add: %v", err)
+	}
+	if m.blockIndex() == built {
+		t.Fatal("a grown store kept the stale blocking index")
+	}
+	if off := newMatcher(t, ds, Options{DisableBlocking: true}); off.blockIdx != nil {
+		t.Fatal("New built a blocking index with blocking disabled")
 	}
 }

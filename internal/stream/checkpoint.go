@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"evmatching/internal/geo"
 	"evmatching/internal/ids"
@@ -12,11 +13,17 @@ import (
 )
 
 // CheckpointVersion is the checkpoint format version this package writes.
-// Version 2 flattened the E-Scenario EID set from a map into a sorted
-// (EID, attr) slice: gob encodes maps in randomized iteration order, so the
-// v1 format produced different bytes for equal states and broke the
-// checkpoint → restore → re-checkpoint byte-identity property.
-const CheckpointVersion = 2
+// Version 3 is the sharded layout: a global section (closed scenarios,
+// resolutions, counters) plus one sub-checkpoint section of open buckets per
+// shard. The unsharded Engine writes it too, as a 1-shard image, and both
+// Restore and RestoreRouter redistribute the open buckets, so an image
+// written under any shard count restores into either topology under any
+// other.
+const CheckpointVersion = 3
+
+// checkpointV2 is the single-engine format that held every open bucket in
+// one Buckets list. It is no longer written, only read.
+const checkpointV2 = 2
 
 // ErrBadCheckpoint reports a checkpoint that cannot be restored.
 var ErrBadCheckpoint = errors.New("stream: bad checkpoint")
@@ -50,13 +57,25 @@ type ShardBucket struct {
 	Dets   []scenario.Detection
 }
 
-// checkpointFile is the complete gob-encoded stream state. The partition and
-// the vfilter cache are deliberately absent: both are pure functions of the
-// closed scenarios, so restore rebuilds them by replaying SplitBy in store-ID
-// order — smaller checkpoints, and no risk of persisting internal state that
-// drifts from the data (DESIGN.md §10).
+// shardCheckpoint is one shard's sub-checkpoint: its open bucket images in
+// ascending (window, cell) order.
+type shardCheckpoint struct {
+	Shard   int
+	Buckets []ShardBucket
+}
+
+// checkpointFile is the complete gob-encoded stream state, written by the
+// Engine (as one shard) and the Router alike. The partition and the vfilter
+// cache are deliberately absent: both are pure functions of the closed
+// scenarios, so restore rebuilds them by replaying SplitBy in store-ID order
+// — smaller checkpoints, and no risk of persisting internal state that
+// drifts from the data (DESIGN.md §10). Everything reachable from here
+// encodes deterministically (sorted slices, no maps — the gobdet analyzer
+// enforces this), preserving the checkpoint → restore → re-checkpoint
+// byte-identity property.
 type checkpointFile struct {
 	Version int
+	Shards  int
 
 	// Config guard: a checkpoint only restores into an engine windowing and
 	// matching identically.
@@ -75,16 +94,23 @@ type checkpointFile struct {
 	Seq         int
 
 	Scenarios   []checkpointScenario
-	Buckets     []ShardBucket
 	Resolutions []Resolution
 	Accepted    []ids.VID
 	Resolved    []ids.EID
+
+	// Buckets is kept only so v2 images, which carried their open buckets
+	// here, can still be read; v3 images carry ShardBuckets and leave it
+	// empty. gob matches fields by name, so both versions decode into this
+	// one type.
+	Buckets      []ShardBucket
+	ShardBuckets []shardCheckpoint
 }
 
-// Checkpoint serializes the engine's full stream state: closed scenarios,
-// open buckets, emitted resolutions, and counters. A consumer that persists
-// the checkpoint together with the ingested-count offset can crash and
-// resume without reprocessing the log from the start.
+// Checkpoint serializes the engine's full stream state — closed scenarios,
+// open buckets, emitted resolutions, and counters — as a 1-shard v3 image.
+// A consumer that persists the checkpoint together with the ingested-count
+// offset can crash and resume, unsharded or sharded, without reprocessing
+// the log from the start.
 func (e *Engine) Checkpoint(w io.Writer) error {
 	e.mu.Lock()
 	cp, err := e.checkpointLocked()
@@ -92,19 +118,26 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	return encodeCheckpoint(w, &cp)
+}
+
+// encodeCheckpoint writes one checkpoint image.
+func encodeCheckpoint(w io.Writer, cp *checkpointFile) error {
 	if err := gob.NewEncoder(w).Encode(cp); err != nil {
 		return fmt.Errorf("stream: encode checkpoint: %w", err)
 	}
 	return nil
 }
 
-// checkpointLocked builds the engine's checkpoint image. Evicted V payloads
-// are paged back in transiently — the checkpoint always carries the full
-// state — and a reload failure fails the checkpoint rather than silently
-// persisting a scenario as detection-free. Callers hold e.mu.
+// checkpointLocked builds the engine's checkpoint image, with its open
+// buckets as the single shard section. Evicted V payloads are paged back in
+// transiently — the checkpoint always carries the full state — and a reload
+// failure fails the checkpoint rather than silently persisting a scenario as
+// detection-free. Callers hold e.mu.
 func (e *Engine) checkpointLocked() (checkpointFile, error) {
 	cp := checkpointFile{
 		Version:     CheckpointVersion,
+		Shards:      1,
 		WindowMS:    e.cfg.WindowMS,
 		LatenessMS:  e.cfg.LatenessMS,
 		Seed:        e.cfg.Seed,
@@ -135,14 +168,16 @@ func (e *Engine) checkpointLocked() (checkpointFile, error) {
 		}
 		cp.Scenarios = append(cp.Scenarios, cs)
 	}
-	var keys []bucketKey
+	keys := make([]bucketKey, 0, len(e.buckets))
 	for k := range e.buckets {
 		keys = append(keys, k)
 	}
 	sortBucketKeys(keys)
+	open := make([]ShardBucket, 0, len(keys))
 	for _, k := range keys {
-		cp.Buckets = append(cp.Buckets, bucketToCheckpoint(k, e.buckets[k]))
+		open = append(open, bucketToCheckpoint(k, e.buckets[k]))
 	}
+	cp.ShardBuckets = []shardCheckpoint{{Shard: 0, Buckets: open}}
 	return cp, nil
 }
 
@@ -181,41 +216,75 @@ func bucketFromCheckpoint(cb ShardBucket) *bucket {
 	return b
 }
 
-// Restore builds an Engine from cfg and resumes it from a checkpoint written
-// by Checkpoint. The checkpoint's windowing and matching parameters must
-// match cfg; runtime-only fields (Clock, Metrics, Mode, Workers) come from
-// cfg alone.
-func Restore(cfg Config, r io.Reader) (*Engine, error) {
+// decodeCheckpoint reads one image of either readable version — the shared
+// decoder behind Restore and RestoreRouter — and returns it with its open
+// buckets: a v2 image's Buckets, or every shard section of a v3 image
+// written under any shard count. Callers redistribute the buckets over
+// their own topology.
+func decodeCheckpoint(r io.Reader) (*checkpointFile, []ShardBucket, error) {
 	var cp checkpointFile
 	if err := gob.NewDecoder(r).Decode(&cp); err != nil {
-		return nil, fmt.Errorf("%w: decode: %w", ErrBadCheckpoint, err)
+		return nil, nil, fmt.Errorf("%w: decode: %w", ErrBadCheckpoint, err)
 	}
-	if cp.Version != CheckpointVersion {
-		return nil, fmt.Errorf("%w: version %d (want %d)", ErrBadCheckpoint, cp.Version, CheckpointVersion)
+	var open []ShardBucket
+	switch cp.Version {
+	case checkpointV2:
+		if len(cp.ShardBuckets) != 0 {
+			return nil, nil, fmt.Errorf("%w: v2 checkpoint carries shard sections", ErrBadCheckpoint)
+		}
+		open = cp.Buckets
+	case CheckpointVersion:
+		if len(cp.Buckets) != 0 {
+			return nil, nil, fmt.Errorf("%w: v3 checkpoint carries unsharded buckets", ErrBadCheckpoint)
+		}
+		for _, sc := range cp.ShardBuckets {
+			open = append(open, sc.Buckets...)
+		}
+	default:
+		return nil, nil, fmt.Errorf("%w: version %d (want %d or %d)", ErrBadCheckpoint, cp.Version, checkpointV2, CheckpointVersion)
+	}
+	for _, cb := range open {
+		if cb.Cell < 0 {
+			return nil, nil, fmt.Errorf("%w: bucket cell %d", ErrBadCheckpoint, cb.Cell)
+		}
+	}
+	return &cp, open, nil
+}
+
+// Restore builds an Engine from cfg and resumes it from a checkpoint
+// written by Engine.Checkpoint or Router.Checkpoint under any shard count,
+// or from a v2 image. The checkpoint's windowing and matching parameters
+// must match cfg; runtime-only fields (Clock, Metrics, Mode, Workers) come
+// from cfg alone.
+func Restore(cfg Config, r io.Reader) (*Engine, error) {
+	cp, open, err := decodeCheckpoint(r)
+	if err != nil {
+		return nil, err
 	}
 	e, err := NewEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.guardCheckpoint(&cp); err != nil {
+	if err := e.restoreGlobal(cp); err != nil {
 		return nil, err
 	}
-	if err := e.restoreScenarios(&cp); err != nil {
-		return nil, err
-	}
-	for _, cb := range cp.Buckets {
+	for _, cb := range open {
 		e.buckets[bucketKey{Window: cb.Window, Cell: cb.Cell}] = bucketFromCheckpoint(cb)
 	}
-	e.restoreCounters(&cp)
 	e.mu.Lock()
 	e.publishGauges()
 	e.mu.Unlock()
 	return e, nil
 }
 
-// guardCheckpoint rejects a checkpoint whose windowing or matching
-// parameters disagree with the engine's config.
-func (e *Engine) guardCheckpoint(cp *checkpointFile) error {
+// restoreGlobal applies a decoded checkpoint's global section to a fresh
+// engine: it rejects a checkpoint whose windowing or matching parameters
+// disagree with the engine's config, re-adds the closed scenarios in ID
+// order (the fresh store assigns the same IDs) replaying the split — the
+// partition is a pure fold over them — and applies the counters,
+// resolutions, and rule-out sets. The open buckets are the caller's to
+// place.
+func (e *Engine) restoreGlobal(cp *checkpointFile) error {
 	switch {
 	case cp.WindowMS != e.cfg.WindowMS:
 		return fmt.Errorf("%w: window %d ms vs config %d ms", ErrBadCheckpoint, cp.WindowMS, e.cfg.WindowMS)
@@ -225,16 +294,9 @@ func (e *Engine) guardCheckpoint(cp *checkpointFile) error {
 		return fmt.Errorf("%w: seed %d vs config %d", ErrBadCheckpoint, cp.Seed, e.cfg.Seed)
 	case cp.Dim != e.cfg.Dim:
 		return fmt.Errorf("%w: dim %d vs config %d", ErrBadCheckpoint, cp.Dim, e.cfg.Dim)
-	case !eidsEqual(cp.Targets, e.cfg.Targets):
+	case !slices.Equal(cp.Targets, e.cfg.Targets):
 		return fmt.Errorf("%w: target set differs from config", ErrBadCheckpoint)
 	}
-	return nil
-}
-
-// restoreScenarios re-adds the closed scenarios in ID order (the fresh store
-// assigns the same IDs) and replays the split — the partition is a pure fold
-// over them.
-func (e *Engine) restoreScenarios(cp *checkpointFile) error {
 	for i := range cp.Scenarios {
 		cs := &cp.Scenarios[i]
 		esc := &scenario.EScenario{
@@ -268,12 +330,6 @@ func (e *Engine) restoreScenarios(cp *checkpointFile) error {
 			return fmt.Errorf("%w: scenario %d: %w", ErrBadCheckpoint, i, err)
 		}
 	}
-	return nil
-}
-
-// restoreCounters applies the checkpoint's counters, resolutions, and
-// rule-out sets.
-func (e *Engine) restoreCounters(cp *checkpointFile) {
 	e.ingested = cp.Ingested
 	e.lateDropped = cp.LateDropped
 	e.maxTS = cp.MaxTS
@@ -286,17 +342,5 @@ func (e *Engine) restoreCounters(cp *checkpointFile) {
 	for _, vid := range cp.Accepted {
 		e.accepted[vid] = true
 	}
-}
-
-// eidsEqual reports element-wise equality of two sorted EID slices.
-func eidsEqual(a, b []ids.EID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return nil
 }

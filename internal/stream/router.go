@@ -11,9 +11,7 @@ import (
 
 	"evmatching/internal/cluster"
 	"evmatching/internal/core"
-	"evmatching/internal/feature"
 	"evmatching/internal/geo"
-	"evmatching/internal/scenario"
 	"evmatching/internal/spill"
 )
 
@@ -292,7 +290,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 
 // newRouter builds a router, optionally seeded from a decoded checkpoint
 // (cp) and its open buckets (open, redistributed by ShardOf).
-func newRouter(cfg RouterConfig, cp *routerCheckpointFile, open []ShardBucket) (*Router, error) {
+func newRouter(cfg RouterConfig, cp *checkpointFile, open []ShardBucket) (*Router, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -329,9 +327,6 @@ func newRouter(cfg RouterConfig, cp *routerCheckpointFile, open []ShardBucket) (
 			return nil, err
 		}
 		for _, cb := range open {
-			if cb.Cell < 0 {
-				return nil, fmt.Errorf("%w: bucket cell %d", ErrBadCheckpoint, cb.Cell)
-			}
 			s := ShardOf(cb.Cell, cfg.Shards)
 			perShard[s] = append(perShard[s], cb)
 			k := bucketKey{Window: cb.Window, Cell: cb.Cell}
@@ -362,30 +357,10 @@ func newRouter(cfg RouterConfig, cp *routerCheckpointFile, open []ShardBucket) (
 // restoreCheckpoint applies a decoded checkpoint's global section: the
 // merged engine's scenarios, resolutions, and counters, plus the router's
 // own watermark and ingest counters.
-func (r *Router) restoreCheckpoint(cp *routerCheckpointFile) error {
-	view := checkpointFile{
-		WindowMS:    cp.WindowMS,
-		LatenessMS:  cp.LatenessMS,
-		Seed:        cp.Seed,
-		Dim:         cp.Dim,
-		Targets:     cp.Targets,
-		Ingested:    cp.Ingested,
-		LateDropped: cp.LateDropped,
-		MaxTS:       cp.MaxTS,
-		MinOpen:     cp.MinOpen,
-		Seq:         cp.Seq,
-		Scenarios:   cp.Scenarios,
-		Resolutions: cp.Resolutions,
-		Accepted:    cp.Accepted,
-		Resolved:    cp.Resolved,
-	}
-	if err := r.merged.guardCheckpoint(&view); err != nil {
+func (r *Router) restoreCheckpoint(cp *checkpointFile) error {
+	if err := r.merged.restoreGlobal(cp); err != nil {
 		return err
 	}
-	if err := r.merged.restoreScenarios(&view); err != nil {
-		return err
-	}
-	r.merged.restoreCounters(&view)
 	r.ingested = cp.Ingested
 	r.lateDropped = cp.LateDropped
 	r.maxTS = cp.MaxTS
@@ -570,51 +545,88 @@ func (r *Router) redispatchLocked(shard int, now time.Time) {
 	}
 }
 
-// startIncarnationLocked launches the slot's current incarnation: the
-// in-process windower goroutine, or — when cfg.Runner is set — the runner,
-// which may host the shard anywhere it likes (internal/shardrpc proxies it
-// to a worker process). image is the sub-checkpoint the incarnation
-// restores from. Callers hold r.mu (newRouter calls before the router
-// escapes).
+// startIncarnationLocked launches the slot's current incarnation: a
+// ShardWindower on its own goroutine, emitting straight to the merge stage,
+// or — when cfg.Runner is set — the runner, which may host the shard
+// anywhere it likes (internal/shardrpc proxies it to a worker process).
+// image is the sub-checkpoint the incarnation restores from. Callers hold
+// r.mu (newRouter calls before the router escapes).
 func (r *Router) startIncarnationLocked(slot *shardSlot, image []ShardBucket) {
-	shard, inc := slot.id, slot.incarnation
-	in, stop := slot.in, slot.stop
+	inc := incarnation{
+		shard:    slot.id,
+		number:   slot.incarnation,
+		in:       slot.in,
+		stop:     slot.stop,
+		leaseTTL: r.cfg.LeaseTTL,
+	}
+	params := ShardParams{
+		WindowMS:   r.cfg.WindowMS,
+		Dim:        r.cfg.Dim,
+		WorkFactor: r.cfg.WorkFactor,
+		LeaseTTL:   r.cfg.LeaseTTL,
+	}
+	r.wg.Add(1)
 	if r.cfg.Runner == nil {
-		initial := make(map[bucketKey]*bucket, len(image))
-		for _, cb := range image {
-			initial[bucketKey{Window: cb.Window, Cell: cb.Cell}] = bucketFromCheckpoint(cb)
-		}
-		r.wg.Add(1)
-		go r.runShard(shard, inc, in, stop, initial)
+		go func() {
+			defer r.wg.Done()
+			var w ShardWindower
+			w.init(params, image)
+			w.run(inc, r)
+		}()
 		return
 	}
 	run := ShardRun{
-		Shard:       shard,
-		Incarnation: inc,
-		Params: ShardParams{
-			WindowMS:   r.cfg.WindowMS,
-			Dim:        r.cfg.Dim,
-			WorkFactor: r.cfg.WorkFactor,
-			LeaseTTL:   r.cfg.LeaseTTL,
-		},
-		Initial: image,
-		In:      in,
-		Stop:    stop,
+		Shard:       inc.shard,
+		Incarnation: inc.number,
+		Params:      params,
+		Initial:     image,
+		In:          inc.in,
+		Stop:        inc.stop,
 		Emit: func(o ShardOut) bool {
-			return r.emit(outFromWire(shard, o), stop)
+			return r.emit(outFromWire(inc.shard, o), inc.stop)
 		},
 		Renew: func() bool {
-			return r.leases.Renew(shard, inc, r.cfg.Clock.Now())
+			return r.renewShard(inc)
 		},
 		Redispatch: func() error {
-			return r.redispatchFrom(shard, inc)
+			return r.redispatchFrom(inc.shard, inc.number)
 		},
 	}
-	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
 		r.cfg.Runner.RunShard(run)
 	}()
+}
+
+// renewShard renews an incarnation's liveness lease; false means a
+// redispatch superseded it.
+func (r *Router) renewShard(inc incarnation) bool {
+	return r.leases.Renew(inc.shard, inc.number, r.cfg.Clock.Now())
+}
+
+// injectFault applies cfg.Faults to one step of an in-process incarnation:
+// a stall delays the message (cut short if the incarnation stops), and a
+// kill ends the incarnation silently so its lease lapses and the router
+// redispatches its cell range. It reports whether the incarnation lives on.
+func (r *Router) injectFault(inc incarnation, step int) bool {
+	if r.cfg.Faults == nil {
+		return true
+	}
+	f := r.cfg.Faults.ShardFault(inc.shard, inc.number, step)
+	if f.Stall > 0 {
+		t := time.NewTimer(f.Stall)
+		select {
+		case <-t.C:
+		case <-inc.stop:
+			t.Stop()
+			return false
+		}
+	}
+	if f.Kill {
+		r.kills.Add(1)
+		return false
+	}
+	return true
 }
 
 // redispatchFrom is ShardRun.Redispatch: it redispatches the shard only if
@@ -651,119 +663,6 @@ func (r *Router) RedispatchShard(shard int) error {
 	r.supervisorRedispatches++
 	r.redispatchLocked(shard, r.cfg.Clock.Now())
 	return nil
-}
-
-// runShard is one shard windower incarnation: a pure event-time accumulator
-// over its cell range. It absorbs routed observations into buckets, seals
-// and emits every bucket below the target on a close round, and answers
-// sub-checkpoint requests with a deep-copied bucket image. All global state
-// — watermark, partition, resolutions — lives in the router and merge
-// stage, which is what makes shard death recoverable by pure replay.
-func (r *Router) runShard(shard, incarnation int, in <-chan ShardMsg, stop <-chan struct{}, buckets map[bucketKey]*bucket) {
-	defer r.wg.Done()
-	tick := time.NewTicker(r.cfg.LeaseTTL / 4)
-	defer tick.Stop()
-	xt := feature.Extractor{Dim: r.cfg.Dim, WorkFactor: r.cfg.WorkFactor}
-	var xbuf feature.ExtractBuf
-	step := 0
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-			// Idle renewal: an empty queue must not read as death.
-			if !r.leases.Renew(shard, incarnation, r.cfg.Clock.Now()) {
-				return // superseded by a redispatch
-			}
-		case m := <-in:
-			step++
-			if r.cfg.Faults != nil {
-				f := r.cfg.Faults.ShardFault(shard, incarnation, step)
-				if f.Stall > 0 {
-					t := time.NewTimer(f.Stall)
-					select {
-					case <-t.C:
-					case <-stop:
-						t.Stop()
-						return
-					}
-				}
-				if f.Kill {
-					r.kills.Add(1)
-					return // silent death; the lease lapses
-				}
-			}
-			switch m.Kind {
-			case ShardMsgObs:
-				k := bucketKey{Window: int(m.Obs.TS / r.cfg.WindowMS), Cell: m.Obs.Cell}
-				b := buckets[k]
-				if b == nil {
-					b = newBucket()
-					buckets[k] = b
-				}
-				b.absorb(m.Obs)
-			case ShardMsgClose:
-				var keys []bucketKey
-				for k := range buckets {
-					if k.Window < m.Target {
-						keys = append(keys, k)
-					}
-				}
-				sortBucketKeys(keys)
-				sealed := make([]sealedScenario, 0, len(keys))
-				for _, k := range keys {
-					esc, vsc := sealBucket(k, buckets[k])
-					sealed = append(sealed, sealedScenario{key: k, esc: esc, vsc: vsc, feats: extractSealed(xt, vsc, &xbuf)})
-					delete(buckets, k)
-				}
-				out := shardOut{shard: shard, kind: ShardOutRound, round: m.Round, target: m.Target, maxTS: m.MaxTS, sealed: sealed}
-				if !r.emit(out, stop) {
-					return
-				}
-			case ShardMsgSnap:
-				var keys []bucketKey
-				for k := range buckets {
-					keys = append(keys, k)
-				}
-				sortBucketKeys(keys)
-				snap := make([]ShardBucket, 0, len(keys))
-				for _, k := range keys {
-					snap = append(snap, bucketToCheckpoint(k, buckets[k]))
-				}
-				if !r.emit(shardOut{shard: shard, kind: ShardOutSnap, snapPos: m.Pos, snapshot: snap}, stop) {
-					return
-				}
-			}
-			if step%renewEveryMsgs == 0 {
-				if !r.leases.Renew(shard, incarnation, r.cfg.Clock.Now()) {
-					return
-				}
-			}
-		}
-	}
-}
-
-// extractSealed extracts a sealed V-Scenario's features on the shard
-// goroutine — the visual-processing cost that dominates window closure, paid
-// here in parallel across shards instead of serially in the merge stage
-// (which primes its filter cache with the result). The extractor is a pure
-// function of the patch bytes, so shard-side extraction is bit-identical to
-// the merge-side lazy path. On any failure it returns nil and the merge-side
-// filter re-extracts lazily, surfacing the identical error at Match time.
-func extractSealed(xt feature.Extractor, vsc *scenario.VScenario, buf *feature.ExtractBuf) *feature.Matrix {
-	if vsc == nil || len(vsc.Detections) == 0 {
-		return nil
-	}
-	m, err := feature.NewMatrix(xt.Dim, len(vsc.Detections))
-	if err != nil {
-		return nil
-	}
-	for i := range vsc.Detections {
-		if err := xt.ExtractIntoBuf(vsc.Detections[i].Patch, m.Row(i), buf); err != nil {
-			return nil
-		}
-	}
-	return m
 }
 
 // emit delivers one shard emission to the merge stage, abandoning it if the

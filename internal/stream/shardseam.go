@@ -10,13 +10,14 @@ import (
 	"evmatching/internal/scenario"
 )
 
-// This file is the shard seam: the exported types and pure windower through
-// which a Router can drive shard windowers that live outside its own
-// process. The in-process path (runShard) and the seam path compute the
-// same function — ShardWindower.Step mirrors runShard's message handling
-// statement for statement — so a remote shard's emissions are bit-identical
-// to an in-process shard's, and the shard-invariance battery pins
-// remote ≡ in-process ≡ unsharded ≡ batch.
+// This file is the shard seam: the one shard windower, the one incarnation
+// loop that drives it, and the exported types through which a Router can
+// drive windowers that live outside its own process. The router's
+// in-process incarnations and RunShardInProcess both run ShardWindower.run;
+// a worker process steps the same windower through the exported Step. All
+// three seal buckets in ShardWindower.step, so a remote shard's emissions
+// are bit-identical to an in-process shard's, and the shard-invariance
+// battery pins remote ≡ in-process ≡ unsharded ≡ batch.
 //
 // internal/shardrpc builds on this seam: its supervisor implements
 // ShardRunner by proxying ShardRun over net/rpc to a worker process that
@@ -136,6 +137,26 @@ func (w ShardSealed) toSealed() sealedScenario {
 	return s
 }
 
+// toWire flattens one emission for a runner: the form RunShardInProcess
+// hands to ShardRun.Emit and a worker process returns over the wire.
+func (o shardOut) toWire() ShardOut {
+	w := ShardOut{
+		Kind:     o.kind,
+		Round:    o.round,
+		Target:   o.target,
+		MaxTS:    o.maxTS,
+		SnapPos:  o.snapPos,
+		Snapshot: o.snapshot,
+	}
+	if o.kind == ShardOutRound {
+		w.Sealed = make([]ShardSealed, 0, len(o.sealed))
+		for _, s := range o.sealed {
+			w.Sealed = append(w.Sealed, sealedToWire(s))
+		}
+	}
+	return w
+}
+
 // outFromWire adapts a runner emission to the merge-stage channel form.
 func outFromWire(shard int, o ShardOut) shardOut {
 	out := shardOut{
@@ -156,10 +177,13 @@ func outFromWire(shard int, o ShardOut) shardOut {
 	return out
 }
 
-// ShardWindower is one shard's pure event-time accumulator behind the seam:
-// the same bucket/seal/extract/snapshot logic runShard runs inline, exposed
-// as a step function a worker process can host. It is not safe for
-// concurrent use; the caller serializes Step.
+// ShardWindower is one shard's pure event-time accumulator over its cell
+// range: it absorbs routed observations into buckets, seals and extracts
+// every bucket below the target on a close round, and answers
+// sub-checkpoint requests with a deep-copied bucket image. All global state
+// — watermark, partition, resolutions — lives in the router and merge
+// stage, which is what makes shard death recoverable by pure replay. It is
+// not safe for concurrent use; the caller serializes Step.
 type ShardWindower struct {
 	p       ShardParams
 	buckets map[bucketKey]*bucket
@@ -173,30 +197,51 @@ func NewShardWindower(p ShardParams, initial []ShardBucket) (*ShardWindower, err
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	w := &ShardWindower{
-		p:       p,
-		buckets: make(map[bucketKey]*bucket, len(initial)),
-		xt:      feature.Extractor{Dim: p.Dim, WorkFactor: p.WorkFactor},
-	}
-	for _, cb := range initial {
-		w.buckets[bucketKey{Window: cb.Window, Cell: cb.Cell}] = bucketFromCheckpoint(cb)
-	}
+	w := &ShardWindower{}
+	w.init(p, initial)
 	return w, nil
 }
 
-// Step applies one journalled message and returns the emission it produces,
-// if any. Observations absorb into their bucket (nil emission); close
-// rounds seal every bucket below the target in ascending (window, cell)
-// order with features extracted shard-side; snapshot requests return a
-// deep-copied bucket image stamped with the journal position. Hostile
-// input — an invalid observation or unknown kind — errors without
-// panicking; the windower's state is unchanged by a failed Step.
+// init resets w to p's windower restored from initial, without checking p
+// — the router's in-process incarnations pass its already validated config
+// and keep the windower on their goroutine's stack.
+func (w *ShardWindower) init(p ShardParams, initial []ShardBucket) {
+	w.p = p
+	w.buckets = make(map[bucketKey]*bucket, len(initial))
+	w.xt = feature.Extractor{Dim: p.Dim, WorkFactor: p.WorkFactor}
+	for _, cb := range initial {
+		w.buckets[bucketKey{Window: cb.Window, Cell: cb.Cell}] = bucketFromCheckpoint(cb)
+	}
+}
+
+// Step applies one untrusted message and returns the emission it produces
+// in wire form, if any. It is step behind a guard: hostile input — an
+// invalid observation or unknown kind — errors without panicking, and the
+// windower's state is unchanged by a failed Step.
 func (w *ShardWindower) Step(m ShardMsg) (*ShardOut, error) {
-	switch m.Kind {
-	case ShardMsgObs:
+	if m.Kind == ShardMsgObs {
 		if err := m.Obs.Validate(); err != nil {
 			return nil, err
 		}
+	}
+	out, err := w.step(m)
+	if err != nil || out.kind == 0 {
+		return nil, err
+	}
+	wire := out.toWire()
+	return &wire, nil
+}
+
+// step applies one journalled message, whose observation the router
+// validated at Ingest, and returns the emission it produces (kind 0 when it
+// produces none). Observations absorb into their bucket; close rounds seal
+// every bucket below the target in ascending (window, cell) order with
+// features extracted shard-side; snapshot requests return a deep-copied
+// bucket image stamped with the journal position. This is the only place
+// shard buckets are sealed.
+func (w *ShardWindower) step(m ShardMsg) (shardOut, error) {
+	switch m.Kind {
+	case ShardMsgObs:
 		k := bucketKey{Window: int(m.Obs.TS / w.p.WindowMS), Cell: m.Obs.Cell}
 		b := w.buckets[k]
 		if b == nil {
@@ -204,7 +249,7 @@ func (w *ShardWindower) Step(m ShardMsg) (*ShardOut, error) {
 			w.buckets[k] = b
 		}
 		b.absorb(m.Obs)
-		return nil, nil
+		return shardOut{}, nil
 	case ShardMsgClose:
 		var keys []bucketKey
 		for k := range w.buckets {
@@ -213,13 +258,13 @@ func (w *ShardWindower) Step(m ShardMsg) (*ShardOut, error) {
 			}
 		}
 		sortBucketKeys(keys)
-		sealed := make([]ShardSealed, 0, len(keys))
+		sealed := make([]sealedScenario, 0, len(keys))
 		for _, k := range keys {
 			esc, vsc := sealBucket(k, w.buckets[k])
-			sealed = append(sealed, sealedToWire(sealedScenario{key: k, esc: esc, vsc: vsc, feats: extractSealed(w.xt, vsc, &w.xbuf)}))
+			sealed = append(sealed, sealedScenario{key: k, esc: esc, vsc: vsc, feats: extractSealed(w.xt, vsc, &w.xbuf)})
 			delete(w.buckets, k)
 		}
-		return &ShardOut{Kind: ShardOutRound, Round: m.Round, Target: m.Target, MaxTS: m.MaxTS, Sealed: sealed}, nil
+		return shardOut{kind: ShardOutRound, round: m.Round, target: m.Target, maxTS: m.MaxTS, sealed: sealed}, nil
 	case ShardMsgSnap:
 		keys := make([]bucketKey, 0, len(w.buckets))
 		for k := range w.buckets {
@@ -230,9 +275,95 @@ func (w *ShardWindower) Step(m ShardMsg) (*ShardOut, error) {
 		for _, k := range keys {
 			snap = append(snap, bucketToCheckpoint(k, w.buckets[k]))
 		}
-		return &ShardOut{Kind: ShardOutSnap, SnapPos: m.Pos, Snapshot: snap}, nil
+		return shardOut{kind: ShardOutSnap, snapPos: m.Pos, snapshot: snap}, nil
 	}
-	return nil, fmt.Errorf("stream: unknown shard message kind %d", m.Kind)
+	return shardOut{}, fmt.Errorf("stream: unknown shard message kind %d", m.Kind)
+}
+
+// extractSealed extracts a sealed V-Scenario's features on the shard
+// goroutine — the visual-processing cost that dominates window closure, paid
+// here in parallel across shards instead of serially in the merge stage
+// (which primes its filter cache with the result). The extractor is a pure
+// function of the patch bytes, so shard-side extraction is bit-identical to
+// the merge-side lazy path. On any failure it returns nil and the merge-side
+// filter re-extracts lazily, surfacing the identical error at Match time.
+func extractSealed(xt feature.Extractor, vsc *scenario.VScenario, buf *feature.ExtractBuf) *feature.Matrix {
+	if vsc == nil || len(vsc.Detections) == 0 {
+		return nil
+	}
+	m, err := feature.NewMatrix(xt.Dim, len(vsc.Detections))
+	if err != nil {
+		return nil
+	}
+	for i := range vsc.Detections {
+		if err := xt.ExtractIntoBuf(vsc.Detections[i].Patch, m.Row(i), buf); err != nil {
+			return nil
+		}
+	}
+	return m
+}
+
+// incarnation identifies one run of a shard windower and carries its
+// message stream.
+type incarnation struct {
+	shard, number int
+	in            <-chan ShardMsg
+	stop          <-chan struct{} // closes when superseded or shut down
+	leaseTTL      time.Duration
+}
+
+// shardHost is the side of an incarnation the loop reports to: the Router
+// for its own in-process incarnations, a ShardRun for RunShardInProcess.
+type shardHost interface {
+	// renewShard renews the incarnation's liveness lease; false means it
+	// was superseded.
+	renewShard(inc incarnation) bool
+	// emit delivers one emission; false means the incarnation was stopped.
+	emit(o shardOut, stop <-chan struct{}) bool
+	// injectFault runs before each message with its 1-based step number;
+	// false ends the incarnation (an injected kill).
+	injectFault(inc incarnation, step int) bool
+}
+
+// run is the one shard incarnation loop: it steps the windower through the
+// message stream until stop closes, renewing the lease from a ticker while
+// idle (an empty queue must not read as death) and every renewEveryMsgs
+// messages while busy. Any false host return ends the incarnation.
+func (w *ShardWindower) run(inc incarnation, host shardHost) {
+	tick := time.NewTicker(inc.leaseTTL / 4)
+	defer tick.Stop()
+	step := 0
+	for {
+		select {
+		case <-inc.stop:
+			return
+		case <-tick.C:
+			if !host.renewShard(inc) {
+				return
+			}
+		case m := <-inc.in:
+			step++
+			if !host.injectFault(inc, step) {
+				return
+			}
+			out, err := w.step(m)
+			if err != nil {
+				// The router never journals an unknown kind, so an error
+				// here means the run itself is corrupt; stand down and let
+				// the lease-based failure detector redispatch.
+				return
+			}
+			if out.kind != 0 {
+				out.shard = inc.shard
+				if !host.emit(out, inc.stop) {
+					return
+				}
+			}
+			if step%renewEveryMsgs == 0 && !host.renewShard(inc) {
+				return
+			}
+		}
+	}
 }
 
 // ShardRun is one shard incarnation handed to a ShardRunner: the restore
@@ -275,11 +406,11 @@ type ShardRunner interface {
 	RunShard(run ShardRun)
 }
 
-// RunShardInProcess drives a ShardRun on a local ShardWindower — the
-// fallback path a supervisor uses when no worker process can be spawned,
-// and the reference implementation of the seam's contract. It matches
-// runShard's lease cadence: a ticker renewal while idle, plus a renewal
-// every renewEveryMsgs messages while busy.
+// RunShardInProcess drives a ShardRun on a local ShardWindower through the
+// same incarnation loop as the router's in-process shards, emitting in wire
+// form — the fallback path a supervisor uses when no worker process can be
+// spawned, and the reference implementation of the seam's contract. run.In
+// carries the router's journal, whose observations Ingest validated.
 func RunShardInProcess(run ShardRun) {
 	w, err := NewShardWindower(run.Params, run.Initial)
 	if err != nil {
@@ -289,32 +420,24 @@ func RunShardInProcess(run ShardRun) {
 	if ttl <= 0 {
 		ttl = DefaultShardLeaseTTL
 	}
-	tick := time.NewTicker(ttl / 4)
-	defer tick.Stop()
-	step := 0
-	for {
-		select {
-		case <-run.Stop:
-			return
-		case <-tick.C:
-			if run.Renew != nil && !run.Renew() {
-				return
-			}
-		case m := <-run.In:
-			step++
-			out, err := w.Step(m)
-			if err != nil {
-				// The router never journals an invalid message, so an error
-				// here means the run itself is corrupt; stand down and let
-				// the lease-based failure detector redispatch.
-				return
-			}
-			if out != nil && !run.Emit(*out) {
-				return
-			}
-			if step%renewEveryMsgs == 0 && run.Renew != nil && !run.Renew() {
-				return
-			}
-		}
-	}
+	w.run(incarnation{
+		shard:    run.Shard,
+		number:   run.Incarnation,
+		in:       run.In,
+		stop:     run.Stop,
+		leaseTTL: ttl,
+	}, runHost{run})
 }
+
+// runHost adapts a ShardRun's callbacks to the incarnation loop.
+type runHost struct{ run ShardRun }
+
+func (h runHost) renewShard(incarnation) bool {
+	return h.run.Renew == nil || h.run.Renew()
+}
+
+func (h runHost) emit(o shardOut, _ <-chan struct{}) bool {
+	return h.run.Emit(o.toWire())
+}
+
+func (runHost) injectFault(incarnation, int) bool { return true }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -646,23 +647,11 @@ func (e *Engine) Finalize(ctx context.Context) (*core.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !scenarioIDsEqual(rep.SplitScenarios, e.part.Recorded()) {
+	if !slices.Equal(rep.SplitScenarios, e.part.Recorded()) {
 		return nil, fmt.Errorf("%w: batch recorded %v, stream recorded %v",
 			ErrDiverged, rep.SplitScenarios, e.part.Recorded())
 	}
 	return rep, nil
-}
-
-func scenarioIDsEqual(a, b []scenario.ID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Ingested returns how many observations Ingest has consumed (accepted or

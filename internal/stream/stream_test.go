@@ -20,7 +20,7 @@ const (
 
 // testDataset mirrors core's golden conformance datasets (60 persons, 16
 // windows; the practical variant adds noise, vague zones, and missing data).
-func testDataset(t *testing.T, practical bool) *dataset.Dataset {
+func testDataset(t testing.TB, practical bool) *dataset.Dataset {
 	t.Helper()
 	cfg := dataset.DefaultConfig()
 	cfg.NumPersons = 60
