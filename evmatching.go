@@ -118,7 +118,11 @@ func Generate(cfg DatasetConfig) (*Dataset, error) { return dataset.Generate(cfg
 func LoadDataset(path string) (*Dataset, error) { return dataset.LoadFile(path) }
 
 // NewMatcher creates a matcher over the dataset. The zero Options selects
-// the SS algorithm in serial mode with the paper's defaults.
+// the SS algorithm in serial mode with the paper's defaults. Keep one
+// matcher per dataset and reuse it: its Match calls, including concurrent
+// ones, share the extracted V-Scenario features, so a scenario's patches
+// are decoded at most once per matcher. Results do not depend on call
+// history; only the per-call Report.VStats work counters reflect the reuse.
 func NewMatcher(ds *Dataset, opts Options) (*Matcher, error) { return core.New(ds, opts) }
 
 // Match is a convenience wrapper: generate a matcher with opts and match the

@@ -37,6 +37,15 @@ func BenchmarkMatchSSSpill(b *testing.B) {
 	matchSSSpillBench()(b)
 }
 
+// BenchmarkMatchSSResident is the resident-matcher row: the
+// MatchSSParallel world and worker pin, but one matcher built and warmed
+// outside the timer serves a cycle of seeded target samples, each checked
+// against a fresh matcher's fingerprint. It prices a Match whose V-Scenarios
+// the matcher has already extracted.
+func BenchmarkMatchSSResident(b *testing.B) {
+	matchSSResidentBench()(b)
+}
+
 // BenchmarkStreamReplay watches the streaming path end to end: replaying a
 // pre-flattened observation log through a fresh engine and finalizing. It
 // lives here rather than in internal/stream because bench-smoke also runs on

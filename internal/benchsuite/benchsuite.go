@@ -23,6 +23,7 @@ import (
 	"evmatching/internal/core"
 	"evmatching/internal/dataset"
 	"evmatching/internal/feature"
+	"evmatching/internal/ids"
 	"evmatching/internal/stream"
 )
 
@@ -61,14 +62,7 @@ func matchBench(alg core.Algorithm, mode core.Mode) func(b *testing.B) {
 // can pin a worker count or run a shortened workload.
 func matchBenchN(opts core.Options, numTargets int) func(b *testing.B) {
 	return func(b *testing.B) {
-		cfg := dataset.DefaultConfig()
-		cfg.NumPersons = 200
-		cfg.Density = 15
-		cfg.NumWindows = 32
-		ds, err := dataset.Generate(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		ds := quickWorld(b)
 		targets := ds.SampleEIDs(numTargets, rand.New(rand.NewSource(5)))
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -87,6 +81,79 @@ func matchBenchN(opts core.Options, numTargets int) func(b *testing.B) {
 				b.ReportMetric(float64(rep.Spill.BytesSpilled)/1024, "spill_kb")
 			}
 		}
+	}
+}
+
+// quickWorld generates the quick-scale 200-person world the end-to-end
+// match benchmarks share.
+func quickWorld(b *testing.B) *dataset.Dataset {
+	cfg := dataset.DefaultConfig()
+	cfg.NumPersons = 200
+	cfg.Density = 15
+	cfg.NumWindows = 32
+	ds, err := dataset.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ds
+}
+
+// residentSamples is how many seeded target samples the resident benchmark
+// cycles through.
+const residentSamples = 8
+
+// matchSSResidentBench times the resident-server path: one parallel SS
+// matcher over the quick-scale world, built and warmed outside the timer,
+// serves a cycle of seeded 80-EID samples. Every iteration's fingerprint is
+// checked against a fresh matcher's for the same sample, so the matcher's
+// shared extraction cache can never buy speed with a different answer. The
+// "extractions" metric is the mean feature extractions a timed Match paid
+// for; against MatchSSParallel, which builds its matcher per iteration, the
+// delta prices re-extraction.
+func matchSSResidentBench() func(b *testing.B) {
+	return func(b *testing.B) {
+		ds := quickWorld(b)
+		opts := core.Options{Algorithm: core.AlgorithmSS, Mode: core.ModeParallel, Workers: 4}
+		rng := rand.New(rand.NewSource(5))
+		reqs := make([][]ids.EID, residentSamples)
+		want := make([]string, residentSamples)
+		for i := range reqs {
+			reqs[i] = ds.SampleEIDs(80, rng)
+			fresh, err := core.New(ds, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rep, err := fresh.Match(context.Background(), reqs[i])
+			if err != nil {
+				b.Fatal(err)
+			}
+			want[i] = rep.Fingerprint()
+		}
+		m, err := core.New(ds, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, req := range reqs {
+			if _, err := m.Match(context.Background(), req); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		extractions := 0
+		for i := 0; i < b.N; i++ {
+			k := i % residentSamples
+			rep, err := m.Match(context.Background(), reqs[k])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rep.Fingerprint() != want[k] {
+				b.Fatalf("sample %d: resident fingerprint differs from a fresh matcher's", k)
+			}
+			extractions += rep.VStats.Extractions
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(extractions)/float64(b.N), "extractions")
 	}
 }
 
@@ -324,6 +391,7 @@ func benchmarks() []benchmark {
 		{"MatchSSSerial", matchBench(core.AlgorithmSS, core.ModeSerial)},
 		{"MatchSSParallel", matchBench(core.AlgorithmSS, core.ModeParallel)},
 		{"MatchSSSpill", matchSSSpillBench()},
+		{"MatchSSResident", matchSSResidentBench()},
 		{"MatchEDPSerial", matchBench(core.AlgorithmEDP, core.ModeSerial)},
 		{"MatchSSBlockedSparse", matchSSScaleBench(sparseWorld, scaleSparseTargets, false)},
 		{"MatchSSBlockedSparseExhaustive", matchSSScaleBench(sparseWorld, scaleSparseTargets, true)},

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"evmatching/internal/feature"
 	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
 	"evmatching/internal/vfilter"
@@ -112,10 +111,11 @@ func (m *Matcher) edpRunTasks(ctx context.Context, targets []ids.EID, lists map[
 		if err := ctx.Err(); err != nil {
 			return vfilter.Result{}, vfilter.Stats{}, fmt.Errorf("core: EDP v stage: %w", err)
 		}
-		f, err := vfilter.New(m.ds.Store, vfilter.Config{
-			Extractor:      feature.Extractor{Dim: m.ds.Config.DescriptorDim(), WorkFactor: m.opts.WorkFactor},
-			AcceptMajority: m.opts.AcceptMajority,
-		})
+		// A private filter per EID, not the matcher's shared cache: EDP
+		// processes each EID's scenarios on their own, and the missing
+		// cross-EID reuse is what defines the baseline SS is measured
+		// against.
+		f, err := vfilter.New(m.ds.Store, m.vfilterConfig())
 		if err != nil {
 			return vfilter.Result{}, vfilter.Stats{}, err
 		}

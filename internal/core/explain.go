@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"evmatching/internal/feature"
 	"evmatching/internal/ids"
-	"evmatching/internal/vfilter"
 )
 
 // Explain runs the full pipeline for a single EID and writes a
@@ -37,14 +35,7 @@ func (m *Matcher) Explain(ctx context.Context, e ids.EID, w io.Writer) error {
 			i+1, id, esc.Cell, esc.Window, esc.Len(), dets)
 	}
 
-	filter, err := vfilter.New(m.ds.Store, vfilter.Config{
-		Extractor:      feature.Extractor{Dim: m.ds.Config.DescriptorDim(), WorkFactor: m.opts.WorkFactor},
-		AcceptMajority: m.opts.AcceptMajority,
-	})
-	if err != nil {
-		return err
-	}
-	res, err := filter.Match(e, list, nil)
+	res, err := m.vcache.Filter().Match(e, list, nil)
 	if err != nil {
 		return err
 	}

@@ -22,11 +22,20 @@ var ErrNoDataset = errors.New("core: nil dataset")
 // ErrNoTargets reports a Match call with no target EIDs.
 var ErrNoTargets = errors.New("core: no target EIDs")
 
-// Matcher matches EIDs to VIDs over one dataset. A Matcher is safe to reuse
-// for multiple Match calls; each call works from fresh state.
+// Matcher matches EIDs to VIDs over one dataset. A Matcher is safe for
+// concurrent and repeated Match calls. Calls share the matcher's extraction
+// state, so each V-Scenario's patches are decoded at most once per matcher,
+// yet no result depends on call history: a Match returns the same report it
+// would return on a fresh matcher. Only the Report.VStats work counters see
+// the sharing, since they count what each call itself paid for.
 type Matcher struct {
 	ds   *dataset.Dataset
 	opts Options
+
+	// vcache holds every V-Scenario feature matrix any SS Match or Explain
+	// has extracted (DESIGN.md §9). It lives as long as the matcher and
+	// grows lazily, up to one feature row per detection in the store.
+	vcache *vfilter.Cache
 
 	// blockIdx is the blocking index over ds.Store (DESIGN.md §13), built
 	// by New and shared across Match calls, so no Match pays for the build
@@ -66,10 +75,24 @@ func New(ds *dataset.Dataset, opts Options) (*Matcher, error) {
 		opts.SpillStats = &spill.Stats{}
 	}
 	m := &Matcher{ds: ds, opts: opts}
-	if !opts.DisableBlocking && ds.Store != nil {
+	vcache, err := vfilter.NewCache(ds.Store, m.vfilterConfig())
+	if err != nil {
+		return nil, err
+	}
+	m.vcache = vcache
+	if !opts.DisableBlocking {
 		m.blockIndex()
 	}
 	return m, nil
+}
+
+// vfilterConfig is the V-stage configuration every filter of the matcher
+// uses: the dataset's descriptor extractor and the acceptance threshold.
+func (m *Matcher) vfilterConfig() vfilter.Config {
+	return vfilter.Config{
+		Extractor:      feature.Extractor{Dim: m.ds.Config.DescriptorDim(), WorkFactor: m.opts.WorkFactor},
+		AcceptMajority: m.opts.AcceptMajority,
+	}
 }
 
 // Options returns the matcher's effective (defaulted) options.
@@ -83,17 +106,13 @@ func (m *Matcher) Match(ctx context.Context, targets []ids.EID) (*Report, error)
 	if len(targets) == 0 {
 		return nil, ErrNoTargets
 	}
-	filter, err := vfilter.New(m.ds.Store, vfilter.Config{
-		Extractor:      feature.Extractor{Dim: m.ds.Config.DescriptorDim(), WorkFactor: m.opts.WorkFactor},
-		AcceptMajority: m.opts.AcceptMajority,
-	})
-	if err != nil {
-		return nil, err
-	}
-	var rep *Report
+	var (
+		rep *Report
+		err error
+	)
 	switch m.opts.Algorithm {
 	case AlgorithmSS:
-		rep, err = m.matchSS(ctx, targets, filter)
+		rep, err = m.matchSS(ctx, targets, m.vcache.Filter())
 	case AlgorithmEDP:
 		rep, err = m.matchEDP(ctx, targets)
 	default:

@@ -30,7 +30,10 @@ type Report struct {
 	// accumulated across refine rounds.
 	ETime time.Duration
 	VTime time.Duration
-	// VStats aggregates the visual-processing work performed.
+	// VStats aggregates the visual-processing work this call paid for. An
+	// SS scenario an earlier call on the same matcher already extracted
+	// adds nothing to ScenariosProcessed or Extractions; Comparisons count
+	// every comparison the call made.
 	VStats vfilter.Stats
 	// RefineRounds is how many extra refine iterations ran (0 = none).
 	RefineRounds int

@@ -14,9 +14,13 @@
 // recycled through a sync.Pool, and per-candidate scoring runs the batched
 // feature.MaxSim kernel. Candidates are census-pruned before any feature
 // accumulation, so the expensive per-candidate work (running means, MaxSim)
-// only touches the VIDs that can still win the vote. Work counters are
-// atomics so concurrent Match calls share the extraction cache without
-// contending on a stats lock.
+// only touches the VIDs that can still win the vote.
+//
+// Extraction state lives in a Cache that outlives any one matching call: a
+// resident matcher keeps one Cache and takes a fresh Filter handle from it
+// per call. Every handle reads and fills the same cache, and each handle's
+// atomic work counters record only the work that handle itself paid for, so
+// per-call statistics stay exact however many calls run at once.
 package vfilter
 
 import (
@@ -87,22 +91,26 @@ type cacheEntry struct {
 	once sync.Once
 	m    *feature.Matrix
 	rows []feature.Vector // views into m, parallel to the detections
-	ords []int32          // Filter-wide VID ordinal per detection
+	ords []int32          // Cache-wide VID ordinal per detection
 	err  error
 }
 
-// Filter matches EIDs to VIDs over one scenario store. It is safe for
-// concurrent Match calls; the extraction cache is shared so each V-Scenario
-// is processed at most once per Filter.
-type Filter struct {
+// Cache is the extraction state shared by every Filter taken from it: each
+// V-Scenario's features, the VID intern table and the scratch pool. A
+// scenario is extracted at most once per Cache. The store is append-only and
+// extraction is a pure function of the patch and the fixed extractor, so an
+// entry never goes stale: scenarios added later simply miss the cache. It
+// holds at most one feature row per detection in the store.
+type Cache struct {
 	store *scenario.Store
 	cfg   Config
 
-	mu    sync.Mutex // guards cache and the VID intern tables
-	cache map[scenario.ID]*cacheEntry
+	mu      sync.Mutex // guards entries and the VID intern tables
+	entries map[scenario.ID]*cacheEntry
 	// VID interning: every VID observed in an extracted scenario gets a
 	// dense ordinal, so the Match hot loops index slices and bitsets instead
-	// of hashing string VIDs. Ordinals are stable for the Filter's lifetime.
+	// of hashing string VIDs. Ordinals are stable for the Cache's lifetime
+	// and never observable in results.
 	vidOrd   map[ids.VID]int32
 	vidByOrd []ids.VID
 
@@ -112,15 +120,11 @@ type Filter struct {
 	// Set once at construction time, before any Match runs.
 	matrixSource MatrixSource
 
-	scenariosProcessed atomic.Int64
-	extractions        atomic.Int64
-	comparisons        atomic.Int64
-
 	pool sync.Pool // of *scratch
 }
 
-// New creates a Filter over the store.
-func New(store *scenario.Store, cfg Config) (*Filter, error) {
+// NewCache creates an empty extraction cache over the store.
+func NewCache(store *scenario.Store, cfg Config) (*Cache, error) {
 	if store == nil {
 		return nil, ErrNoStore
 	}
@@ -130,14 +134,50 @@ func New(store *scenario.Store, cfg Config) (*Filter, error) {
 	if cfg.AcceptMajority < 0 || cfg.AcceptMajority > 1 {
 		return nil, fmt.Errorf("vfilter: AcceptMajority %f out of [0,1]", cfg.AcceptMajority)
 	}
-	f := &Filter{
-		store:  store,
-		cfg:    cfg,
-		cache:  make(map[scenario.ID]*cacheEntry),
-		vidOrd: make(map[ids.VID]int32),
+	c := &Cache{
+		store:   store,
+		cfg:     cfg,
+		entries: make(map[scenario.ID]*cacheEntry),
+		vidOrd:  make(map[ids.VID]int32),
 	}
-	f.pool.New = func() any { return new(scratch) }
-	return f, nil
+	c.pool.New = func() any { return new(scratch) }
+	return c, nil
+}
+
+// Filter returns a new handle on the cache with zeroed work counters.
+func (c *Cache) Filter() *Filter { return &Filter{c: c} }
+
+// entry returns id's cache entry, creating an empty one on first use.
+func (c *Cache) entry(id scenario.ID) *cacheEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.entries[id]
+	if e == nil {
+		e = &cacheEntry{}
+		c.entries[id] = e
+	}
+	return e
+}
+
+// Filter matches EIDs to VIDs through a Cache and counts the work it paid
+// for. It is safe for concurrent use, and so are several Filters on one
+// Cache. A scenario another handle already extracted costs this handle
+// nothing: it adds zero to ScenariosProcessed and Extractions.
+type Filter struct {
+	c *Cache
+
+	scenariosProcessed atomic.Int64
+	extractions        atomic.Int64
+	comparisons        atomic.Int64
+}
+
+// New creates a Filter over the store with a cache of its own.
+func New(store *scenario.Store, cfg Config) (*Filter, error) {
+	c, err := NewCache(store, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return c.Filter(), nil
 }
 
 // MatrixSource supplies a previously extracted feature matrix for a
@@ -146,26 +186,27 @@ func New(store *scenario.Store, cfg Config) (*Filter, error) {
 // bit-identical to re-extraction.
 type MatrixSource func(id scenario.ID) (*feature.Matrix, error)
 
-// SetMatrixSource installs the reload path for spilled feature matrices.
-// Must be called before the first Match.
-func (f *Filter) SetMatrixSource(src MatrixSource) { f.matrixSource = src }
+// SetMatrixSource installs the reload path for spilled feature matrices
+// on the Filter's cache. Must be called before the first Match.
+func (f *Filter) SetMatrixSource(src MatrixSource) { f.c.matrixSource = src }
 
 // Drop removes id's cached features and returns the extracted matrix, so
 // the eviction path can spill it for later reload through the matrix
 // source. Entries that never finished extracting (or failed) are kept and
 // (nil, false) is returned. The caller serializes Drop against Match.
 func (f *Filter) Drop(id scenario.ID) (*feature.Matrix, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	entry, ok := f.cache[id]
+	c := f.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	entry, ok := c.entries[id]
 	if !ok || entry.m == nil {
 		return nil, false
 	}
-	delete(f.cache, id)
+	delete(c.entries, id)
 	return entry.m, true
 }
 
-// Stats returns a snapshot of the accumulated work counters.
+// Stats returns a snapshot of the work this Filter has paid for.
 func (f *Filter) Stats() Stats {
 	return Stats{
 		ScenariosProcessed: int(f.scenariosProcessed.Load()),
@@ -179,9 +220,9 @@ func (f *Filter) Stats() Stats {
 // detections yields (nil, nil). The returned vectors are views into the
 // scenario's feature matrix; callers must not modify them.
 func (f *Filter) Features(id scenario.ID) ([]feature.Vector, error) {
-	s := f.pool.Get().(*scratch)
+	s := f.c.pool.Get().(*scratch)
 	entry, err := f.features(id, &s.xbuf)
-	f.pool.Put(s)
+	f.c.pool.Put(s)
 	if err != nil {
 		return nil, err
 	}
@@ -203,8 +244,8 @@ func (f *Filter) ExtractBatch(list []scenario.ID) error {
 	if len(list) == 0 {
 		return nil
 	}
-	s := f.pool.Get().(*scratch)
-	defer f.pool.Put(s)
+	s := f.c.pool.Get().(*scratch)
+	defer f.c.pool.Put(s)
 	for _, id := range list {
 		entry, err := f.features(id, &s.xbuf)
 		if err != nil {
@@ -219,10 +260,10 @@ func (f *Filter) ExtractBatch(list []scenario.ID) error {
 
 // features returns the scenario's populated cache entry, or nil when the
 // scenario has no detections. The error return is a page-in failure from
-// the store (an evicted payload that could not be reloaded); extraction
-// failures stay cached inside the entry as before.
+// the store (an evicted payload that could not be reloaded) and is never
+// cached; extraction failures stay cached inside the entry.
 func (f *Filter) features(id scenario.ID, buf *feature.ExtractBuf) (*cacheEntry, error) {
-	v, err := f.store.VChecked(id)
+	v, err := f.c.store.VChecked(id)
 	if err != nil {
 		return nil, err
 	}
@@ -232,25 +273,19 @@ func (f *Filter) features(id scenario.ID, buf *feature.ExtractBuf) (*cacheEntry,
 // featuresFor is features for a caller that already fetched (or paged in)
 // the V-Scenario, so the hot Match path touches the store exactly once per
 // scenario. A failed extraction is cached (and its cost counted) once;
-// later calls observe the same error without re-extracting. buf is the
+// later calls observe the same error without re-extracting. The handle
+// whose call runs the extraction is the one charged for it. buf is the
 // caller's reusable extraction working storage.
 func (f *Filter) featuresFor(id scenario.ID, v *scenario.VScenario, buf *feature.ExtractBuf) *cacheEntry {
 	if v == nil || len(v.Detections) == 0 {
 		return nil
 	}
-	f.mu.Lock()
-	entry := f.cache[id]
-	if entry == nil {
-		entry = &cacheEntry{}
-		f.cache[id] = entry
-	}
-	f.mu.Unlock()
-
+	entry := f.c.entry(id)
 	entry.once.Do(func() {
 		// A spilled matrix, when available, short-circuits extraction: it
 		// is the same matrix a previous extraction produced, so installing
 		// it is bit-identical to re-extracting the patches.
-		if src := f.matrixSource; src != nil {
+		if src := f.c.matrixSource; src != nil {
 			m, err := src(id)
 			if err != nil {
 				entry.err = fmt.Errorf("vfilter: reload features scenario %d: %w", id, err)
@@ -261,13 +296,13 @@ func (f *Filter) featuresFor(id scenario.ID, v *scenario.VScenario, buf *feature
 				return
 			}
 		}
-		m, err := feature.NewMatrix(f.cfg.Extractor.Dim, len(v.Detections))
+		m, err := feature.NewMatrix(f.c.cfg.Extractor.Dim, len(v.Detections))
 		if err != nil {
 			entry.err = fmt.Errorf("vfilter: features scenario %d: %w", id, err)
 			return
 		}
 		for i := range v.Detections {
-			if err := f.cfg.Extractor.ExtractIntoBuf(v.Detections[i].Patch, m.Row(i), buf); err != nil {
+			if err := f.c.cfg.Extractor.ExtractIntoBuf(v.Detections[i].Patch, m.Row(i), buf); err != nil {
 				entry.err = fmt.Errorf("vfilter: extract scenario %d detection %d: %w", id, i, err)
 				// The i successful extractions plus this failed attempt were
 				// real work; count them even though the scenario is unusable.
@@ -281,7 +316,8 @@ func (f *Filter) featuresFor(id scenario.ID, v *scenario.VScenario, buf *feature
 }
 
 // fill completes a cache entry from an extracted matrix: row views, interned
-// VID ordinals, and the work counters. Callers run inside entry.once.
+// VID ordinals, and this handle's work counters. Callers run inside
+// entry.once.
 func (f *Filter) fill(entry *cacheEntry, v *scenario.VScenario, m *feature.Matrix) {
 	entry.m = m
 	entry.rows = make([]feature.Vector, m.Rows())
@@ -289,18 +325,19 @@ func (f *Filter) fill(entry *cacheEntry, v *scenario.VScenario, m *feature.Matri
 		entry.rows[i] = m.Row(i)
 	}
 	ords := make([]int32, len(v.Detections))
-	f.mu.Lock()
+	c := f.c
+	c.mu.Lock()
 	for i := range v.Detections {
 		vid := v.Detections[i].VID
-		ord, ok := f.vidOrd[vid]
+		ord, ok := c.vidOrd[vid]
 		if !ok {
-			ord = int32(len(f.vidByOrd))
-			f.vidOrd[vid] = ord
-			f.vidByOrd = append(f.vidByOrd, vid)
+			ord = int32(len(c.vidByOrd))
+			c.vidOrd[vid] = ord
+			c.vidByOrd = append(c.vidByOrd, vid)
 		}
 		ords[i] = ord
 	}
-	f.mu.Unlock()
+	c.mu.Unlock()
 	entry.ords = ords
 	f.scenariosProcessed.Add(1)
 	f.extractions.Add(int64(m.Rows()))
@@ -318,23 +355,17 @@ func (f *Filter) fill(entry *cacheEntry, v *scenario.VScenario, m *feature.Matri
 // extraction is counted in Stats exactly as a lazy one would be: the work was
 // paid, just on another goroutine.
 func (f *Filter) Prime(id scenario.ID, m *feature.Matrix) error {
-	v, err := f.store.VChecked(id)
+	v, err := f.c.store.VChecked(id)
 	if err != nil {
 		return fmt.Errorf("vfilter: prime scenario %d: %w", id, err)
 	}
 	if v == nil || len(v.Detections) == 0 {
 		return fmt.Errorf("vfilter: prime scenario %d: no detections in store", id)
 	}
-	if m == nil || m.Rows() != len(v.Detections) || m.Dim() != f.cfg.Extractor.Dim {
+	if m == nil || m.Rows() != len(v.Detections) || m.Dim() != f.c.cfg.Extractor.Dim {
 		return fmt.Errorf("vfilter: prime scenario %d: matrix shape mismatch", id)
 	}
-	f.mu.Lock()
-	entry := f.cache[id]
-	if entry == nil {
-		entry = &cacheEntry{}
-		f.cache[id] = entry
-	}
-	f.mu.Unlock()
+	entry := f.c.entry(id)
 	entry.once.Do(func() {
 		f.fill(entry, v, m)
 	})
@@ -349,7 +380,7 @@ type scan struct {
 	ords []int32
 }
 
-// scratch is the per-Match working state, recycled through Filter.pool. The
+// scratch is the per-Match working state, recycled through Cache.pool. The
 // candidate census runs over dense ordinal-indexed tables: bitset masks for
 // exclusion and pruning survival plus presence counters, all sized by the
 // Filter's VID intern table. Only candidates surviving the census get slots
@@ -406,9 +437,9 @@ func (s *scratch) reset(n int) {
 	s.votes = s.votes[:0]
 }
 
-// ensureOrds sizes the ordinal-indexed tables for a Filter that has interned
+// ensureOrds sizes the ordinal-indexed tables for a Cache that has interned
 // numVID VIDs so far. The counter tables only grow (ordinals are stable for
-// the Filter's lifetime); the bitset masks are word-wise cleared for the new
+// the Cache's lifetime); the bitset masks are word-wise cleared for the new
 // Match, or reallocated when the ordinal universe outgrew them.
 func (s *scratch) ensureOrds(numVID int) {
 	for len(s.slotByOrd) < numVID {
@@ -462,16 +493,17 @@ func (f *Filter) Match(e ids.EID, list []scenario.ID, exclude map[ids.VID]bool) 
 	if len(list) == 0 {
 		return res, nil
 	}
-	dim := f.cfg.Extractor.Dim
-	s := f.pool.Get().(*scratch)
-	defer f.pool.Put(s)
+	c := f.c
+	dim := c.cfg.Extractor.Dim
+	s := c.pool.Get().(*scratch)
+	defer c.pool.Put(s)
 	s.reset(len(list))
 
 	// Gather per-scenario feature matrices first — extraction interns every
 	// detection's VID — then resolve the exclusion set to a dense ordinal
 	// bitset.
 	for i, id := range list {
-		v, err := f.store.VChecked(id)
+		v, err := c.store.VChecked(id)
 		if err != nil {
 			return res, err
 		}
@@ -488,20 +520,20 @@ func (f *Filter) Match(e ids.EID, list []scenario.ID, exclude map[ids.VID]bool) 
 			s.scans[i].ords = entry.ords
 		}
 	}
-	f.mu.Lock()
-	s.ensureOrds(len(f.vidByOrd))
+	c.mu.Lock()
+	s.ensureOrds(len(c.vidByOrd))
 	//evlint:ignore maprange fills an ordinal-indexed membership mask; the mask is identical under any iteration order
 	for vid, on := range exclude {
 		if !on {
 			continue
 		}
-		// A VID the Filter has never interned cannot appear in any
+		// A VID the Cache has never interned cannot appear in any
 		// extracted scenario of this list; skipping it is exact.
-		if ord, ok := f.vidOrd[vid]; ok {
+		if ord, ok := c.vidOrd[vid]; ok {
 			s.excl.Add(int(ord))
 		}
 	}
-	f.mu.Unlock()
+	c.mu.Unlock()
 
 	// Candidate census: one pass over the detections counts, per VID
 	// ordinal, how many listed scenarios sight each non-excluded candidate.
@@ -665,7 +697,7 @@ func (f *Filter) Match(e ids.EID, list []scenario.ID, exclude map[ids.VID]bool) 
 	res.VID = best
 	res.Probability = s.prob[bestSlot]
 	res.MajorityFrac = float64(bestVotes) / float64(voting)
-	res.Acceptable = res.MajorityFrac >= f.cfg.AcceptMajority
+	res.Acceptable = res.MajorityFrac >= c.cfg.AcceptMajority
 
 	// Runner-up diagnostics: the strongest other candidate by trajectory
 	// probability.

@@ -439,3 +439,57 @@ func TestExtractBatchConcurrentWithMatch(t *testing.T) {
 		t.Errorf("ScenariosProcessed = %d, want %d (each scenario exactly once)", got, len(all))
 	}
 }
+
+// TestCacheHandlesCountOwnWork pins per-handle accounting on a shared
+// Cache: handles matching concurrently extract each scenario once between
+// them, each handle's Stats count only what it paid for, and a handle
+// repeating another's work pays no extraction but the same comparisons.
+func TestCacheHandlesCountOwnWork(t *testing.T) {
+	w := newWorld(t, 8)
+	shared := w.addScenario(t, 0, []int{0, 1, 2, 3, 4, 5, 6, 7})
+	lists := make([][]scenario.ID, 8)
+	for p := 0; p < 8; p++ {
+		lists[p] = []scenario.ID{shared, w.addScenario(t, 1+p, []int{p})}
+	}
+	c, err := NewCache(w.store, Config{Extractor: feature.Extractor{Dim: 64}, AcceptMajority: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handles := make([]*Filter, 8)
+	errs := make([]error, 8)
+	var wg sync.WaitGroup
+	for p := range handles {
+		handles[p] = c.Filter()
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			_, errs[p] = handles[p].Match(eidOf(p), lists[p], nil)
+		}(p)
+	}
+	wg.Wait()
+	var sum Stats
+	for p, h := range handles {
+		if errs[p] != nil {
+			t.Fatalf("person %d: %v", p, errs[p])
+		}
+		st := h.Stats()
+		sum.ScenariosProcessed += st.ScenariosProcessed
+		sum.Extractions += st.Extractions
+	}
+	// The shared scenario's 8 rows plus one row per private scenario.
+	if sum.ScenariosProcessed != 9 || sum.Extractions != 16 {
+		t.Errorf("handles paid for %d scenarios, %d rows; want 9 and 16", sum.ScenariosProcessed, sum.Extractions)
+	}
+
+	again := c.Filter()
+	if _, err := again.Match(eidOf(3), lists[3], nil); err != nil {
+		t.Fatal(err)
+	}
+	st := again.Stats()
+	if st.ScenariosProcessed != 0 || st.Extractions != 0 {
+		t.Errorf("repeat handle paid for extraction: %+v", st)
+	}
+	if want := handles[3].Stats().Comparisons; st.Comparisons != want {
+		t.Errorf("repeat handle Comparisons = %d, want %d", st.Comparisons, want)
+	}
+}
